@@ -1,16 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the paper's
-// algorithms: enqueue/dequeue of the per-TID MAC queue structure, the CoDel
-// control-law step, airtime computation, the scheduler round and flow
-// hashing. These are the per-packet costs the kernel implementation cares
-// about.
+// algorithms: enqueue/dequeue of the per-TID MAC queue structure, overflow
+// drops of the MAC queues and the FQ-CoDel qdisc, the CoDel control-law
+// step, airtime computation, the scheduler round and flow hashing. These
+// are the per-packet costs the kernel implementation cares about.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/aqm/codel.h"
+#include "src/aqm/fq_codel.h"
 #include "src/core/airtime_scheduler.h"
 #include "src/core/mac_queues.h"
 #include "src/mac/airtime.h"
@@ -68,6 +70,71 @@ void BM_MacQueuesOverflowDrop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MacQueuesOverflowDrop);
+
+// Overflow drop with N flow queues backlogged, for the MAC queues
+// (Algorithm 1's find_longest_queue) and the FQ-CoDel qdisc (drop from the
+// fattest flow). The structure is filled to its limit with two packets in
+// each of N queues; then arrivals go round-robin to 8 of those flows, each
+// one triggering a drop. Every N thus touches the same packet and queue
+// memory, and what grows with N is the set the drop path searches. Both
+// drops take the top of the fattest-queue index, so the cost should stay
+// nearly flat in N; a linear scan grows with N (MacQueues) or with the whole
+// table (FqCodelQdisc).
+template <typename Queues>
+void BM_OverflowDrop(benchmark::State& state) {
+  constexpr size_t kQueues = 4096;
+  const int backlogged = static_cast<int>(state.range(0));
+  TimeUs now;
+  PacketPool pool;  // Outlives the queues, which hold its packets.
+  std::unique_ptr<Queues> queues;
+  if constexpr (std::is_same_v<Queues, MacQueues>) {
+    MacQueues::Config config;
+    config.flow_queues = static_cast<int>(kQueues);
+    config.global_limit_packets = 2 * backlogged;
+    queues = std::make_unique<MacQueues>([&now] { return now; }, config);
+  } else {
+    FqCodelConfig config;
+    config.flows = static_cast<int>(kQueues);
+    config.limit_packets = 2 * backlogged;
+    queues = std::make_unique<FqCodelQdisc>([&now] { return now; }, config);
+  }
+  // N flows that hash to N distinct queues.
+  std::vector<FlowKey> flows;
+  std::vector<bool> taken(kQueues, false);
+  for (uint32_t i = 0; flows.size() < static_cast<size_t>(backlogged); ++i) {
+    const FlowKey key{0, 2 + i / 60000, static_cast<uint16_t>(1000 + i % 60000), 2000, 17};
+    const size_t slot = HashFlow(key) % kQueues;
+    if (!taken[slot]) {
+      taken[slot] = true;
+      flows.push_back(key);
+    }
+  }
+  size_t next = 0;
+  const auto enqueue_next = [&] {
+    PacketPtr p = pool.Allocate();
+    p->size_bytes = 1500;
+    p->flow = flows[next];
+    next = next + 1 == flows.size() ? 0 : next + 1;
+    if constexpr (std::is_same_v<Queues, MacQueues>) {
+      queues->Enqueue(std::move(p), 0, 0);
+    } else {
+      queues->Enqueue(std::move(p));
+    }
+  };
+  for (int i = 0; i < 2 * backlogged; ++i) {
+    enqueue_next();
+  }
+  flows.resize(std::min<size_t>(flows.size(), 8));
+  next = 0;
+  for (auto _ : state) {
+    now += TimeUs(10);
+    enqueue_next();
+  }
+  benchmark::DoNotOptimize(queues->packet_count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_OverflowDrop, MacQueues)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_OverflowDrop, FqCodelQdisc)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_CodelDequeue(benchmark::State& state) {
   TimeUs now;

@@ -13,26 +13,29 @@ namespace airfair {
 FqCodelQdisc::FqCodelQdisc(InlineFunction<TimeUs()> clock, const FqCodelConfig& config)
     : clock_(std::move(clock)), config_(config), queues_(config.flows) {}
 
-FqCodelQdisc::FlowQueue* FqCodelQdisc::FattestQueue() {
-  FlowQueue* fattest = nullptr;
-  for (auto& q : queues_) {
-    if (!q.packets.empty() && (fattest == nullptr || q.bytes > fattest->bytes)) {
-      fattest = &q;
-    }
+PacketPtr FqCodelQdisc::PullHead(FlowQueue& q) {
+  if (q.packets.empty()) {
+    return nullptr;
   }
-  return fattest;
+  PacketPtr p = std::move(q.packets.front());
+  q.packets.pop_front();
+  q.bytes -= p->size_bytes;
+  --total_packets_;
+  if (q.packets.empty()) {
+    fattest_.Remove(&q);
+  } else {
+    fattest_.Update(&q);
+  }
+  return p;
 }
 
 void FqCodelQdisc::DropFromFattest() {
-  FlowQueue* q = FattestQueue();
-  if (q == nullptr || q->packets.empty()) {
+  FlowQueue* q = fattest_.Top();
+  if (q == nullptr) {
     return;
   }
   // fq_codel drops from the head of the fattest flow.
-  PacketPtr victim = std::move(q->packets.front());
-  q->packets.pop_front();
-  q->bytes -= victim->size_bytes;
-  --total_packets_;
+  PacketPtr victim = PullHead(*q);
   ++overflow_drops_;
   ++drops_;
   // The qdisc sits above the driver (host scope), so there is no station
@@ -54,6 +57,11 @@ void FqCodelQdisc::Enqueue(PacketPtr packet) {
   ++total_packets_;
   AF_TRACE_ENQUEUE(now, -1, q.packets.back()->tid, q.packets.back()->size_bytes,
                    total_packets_);
+  if (q.fattest.linked()) {
+    fattest_.Update(&q);
+  } else {
+    fattest_.Insert(&q, static_cast<uint64_t>(&q - queues_.data()));
+  }
   if (!q.node.linked()) {
     // Queue just became backlogged: it is a "new" flow and gets one
     // priority round (the sparse-flow optimisation).
@@ -87,16 +95,7 @@ PacketPtr FqCodelQdisc::Dequeue() {
     }
     PacketPtr packet = q->codel.Dequeue(
         now, config_.codel,
-        [this, q]() -> PacketPtr {
-          if (q->packets.empty()) {
-            return nullptr;
-          }
-          PacketPtr p = std::move(q->packets.front());
-          q->packets.pop_front();
-          q->bytes -= p->size_bytes;
-          --total_packets_;
-          return p;
-        },
+        [this, q]() { return PullHead(*q); },
         [this, now](const PacketPtr& victim) {
           ++codel_drops_;
           ++drops_;
@@ -154,6 +153,13 @@ int FqCodelQdisc::CheckInvariants(AuditFailFn fail) const {
 
   violations += new_flows_.CheckIntegrity(subfail);
   violations += old_flows_.CheckIntegrity(subfail);
+  violations += fattest_.CheckInvariants(
+      [this](auto&& visit) {
+        for (const FlowQueue& q : queues_) {
+          visit(q);
+        }
+      },
+      subfail);
 
   int64_t resident = 0;
   for (const FlowQueue& q : queues_) {
@@ -196,16 +202,6 @@ int FqCodelQdisc::CheckInvariants(AuditFailFn fail) const {
     report(os.str());
   }
   return violations;
-}
-
-int FqCodelQdisc::active_flows() const {
-  int n = 0;
-  for (const auto& q : queues_) {
-    if (!q.packets.empty()) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace airfair

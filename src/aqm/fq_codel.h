@@ -3,7 +3,9 @@
 // Flow queueing with a deficit round-robin scheduler, per-flow CoDel, the
 // sparse-flow optimisation (new-flow list gets priority for one round), and
 // drop-from-fattest-queue on overflow. Matches the Linux fq_codel defaults:
-// 1024 flow queues, 10240-packet limit, quantum = one MTU.
+// 1024 flow queues, 10240-packet limit, quantum = one MTU. The fattest flow
+// is the top of a FattestIndex (src/util/fattest_index.h), ties to the lowest
+// queue index, one drop per excess packet (no Linux drop_batch_size).
 //
 // The paper's contribution in src/core reuses these mechanisms but groups the
 // flow queues per TID so aggregation stays possible — see
@@ -19,6 +21,7 @@
 
 #include "src/aqm/codel.h"
 #include "src/aqm/queue_discipline.h"
+#include "src/util/fattest_index.h"
 #include "src/util/function_ref.h"
 #include "src/util/inline_function.h"
 #include "src/util/intrusive_list.h"
@@ -43,7 +46,7 @@ class FqCodelQdisc : public Qdisc {
   int packet_count() const override { return total_packets_; }
 
   // Number of distinct flow queues currently backlogged.
-  int active_flows() const;
+  int active_flows() const { return static_cast<int>(fattest_.size()); }
   int64_t codel_drops() const { return codel_drops_; }
   int64_t overflow_drops() const { return overflow_drops_; }
 
@@ -54,12 +57,13 @@ class FqCodelQdisc : public Qdisc {
   // Invariant audit (see src/sim/audit.h). Verifies, calling `fail` once per
   // violation and returning the violation count: packet conservation,
   // per-queue byte counters, non-empty queues being scheduled, DRR deficit
-  // bounds, drop-counter consistency, intrusive-list integrity and per-flow
-  // CoDel state validity.
+  // bounds, drop-counter consistency, intrusive-list integrity, per-flow
+  // CoDel state validity and the FattestIndex invariants.
   int CheckInvariants(AuditFailFn fail) const;
 
-  // Test-only corruption hook for tests/sim_audit_test.cc.
+  // Test-only corruption hooks for tests/sim_audit_test.cc.
   void CorruptConservationForTesting() { ++enqueued_total_; }
+  void CorruptFattestIndexForTesting() { fattest_.BreakOrderForTesting(); }
 
  private:
   struct FlowQueue {
@@ -67,18 +71,20 @@ class FqCodelQdisc : public Qdisc {
     int64_t bytes = 0;
     int64_t deficit = 0;
     CoDelState codel;
-    ListNode node;  // On new_flows_ or old_flows_ when backlogged.
+    ListNode node;         // On new_flows_ or old_flows_ when backlogged.
+    FattestNode fattest;  // In fattest_ when non-empty.
     bool is_new = false;
   };
 
-  FlowQueue* FattestQueue();
   void DropFromFattest();
+  PacketPtr PullHead(FlowQueue& q);
 
   InlineFunction<TimeUs()> clock_;
   FqCodelConfig config_;
   std::vector<FlowQueue> queues_;
   IntrusiveList<FlowQueue, &FlowQueue::node> new_flows_;
   IntrusiveList<FlowQueue, &FlowQueue::node> old_flows_;
+  FattestIndex<FlowQueue, &FlowQueue::fattest> fattest_;
   int total_packets_ = 0;
   int64_t codel_drops_ = 0;
   int64_t overflow_drops_ = 0;

@@ -46,28 +46,16 @@ MacQueues::TidQueue& MacQueues::GetOrCreateTid(StationId station, Tid tid) {
 void MacQueues::DropFromLongestQueue() {
   // Algorithm 1, lines 2-4: find_longest_queue() over every backlogged queue
   // (flow queues and overflow queues alike), drop from its head.
-  FlowQueue* longest = nullptr;
-  for (FlowQueue* q : backlogged_) {
-    if (longest == nullptr || q->bytes > longest->bytes) {
-      longest = q;
-    }
-  }
+  FlowQueue* longest = fattest_.Top();
   if (longest == nullptr) {
     return;
   }
-  PacketPtr victim = std::move(longest->packets.front());
-  longest->packets.pop_front();
-  longest->bytes -= victim->size_bytes;
-  --total_packets_;
-  ++overflow_drops_;
   AF_DCHECK(longest->tid != nullptr) << " backlogged queue without a TID assignment";
-  longest->tid->backlog_packets--;
+  PacketPtr victim = PullHead(*longest);
+  ++overflow_drops_;
   AF_DCHECK_GE(longest->tid->backlog_packets, 0);
   AF_TRACE_OVERFLOW_DROP(clock_(), longest->tid->station, longest->tid->tid,
                          longest->tid->backlog_packets, victim->size_bytes);
-  if (longest->packets.empty()) {
-    longest->backlog_node.Unlink();
-  }
 }
 
 void MacQueues::Enqueue(PacketPtr packet, StationId station, Tid tid) {
@@ -97,8 +85,10 @@ void MacQueues::Enqueue(PacketPtr packet, StationId station, Tid tid) {
   ++txq.backlog_packets;
   AF_TRACE_ENQUEUE(now, station, tid, queue->packets.back()->size_bytes,
                    txq.backlog_packets);
-  if (!queue->backlog_node.linked()) {
-    backlogged_.PushBack(queue);
+  if (queue->fattest.linked()) {
+    fattest_.Update(queue);
+  } else {
+    fattest_.Insert(queue, backlog_seq_++);
   }
   // Newly active queues enter the TID's new-queues list (sparse-flow
   // priority; Algorithm 1, lines 11-12).
@@ -118,7 +108,9 @@ PacketPtr MacQueues::PullHead(FlowQueue& queue) {
   --total_packets_;
   queue.tid->backlog_packets--;
   if (queue.packets.empty()) {
-    queue.backlog_node.Unlink();
+    fattest_.Remove(&queue);
+  } else {
+    fattest_.Update(&queue);
   }
   return p;
 }
@@ -182,7 +174,7 @@ int64_t MacQueues::FlushStation(StationId station) {
     total_packets_ -= static_cast<int>(q.packets.size());
     q.packets.clear();  // Destroys the PacketPtrs (returned to the pool).
     q.bytes = 0;
-    q.backlog_node.Unlink();
+    fattest_.Remove(&q);
     q.sched_node.Unlink();
     q.tid = nullptr;
     // A fresh CoDel session for the queue's next assignment: the old
@@ -195,9 +187,11 @@ int64_t MacQueues::FlushStation(StationId station) {
     if (txq == nullptr) {
       continue;
     }
-    for (FlowQueue& q : pool_) {
-      if (q.tid == txq) {
-        drain_queue(q);
+    // A queue is assigned to this TID exactly when it is on the TID's
+    // new/old list (audited), so the lists name every queue to release.
+    for (auto* list : {&txq->new_queues, &txq->old_queues}) {
+      while (FlowQueue* q = list->Front()) {
+        drain_queue(*q);
       }
     }
     drain_queue(txq->overflow);
@@ -227,45 +221,47 @@ int MacQueues::CheckInvariants(AuditFailFn fail) const {
     report(os.str());
   }
 
-  // --- Backlogged-list structure and byte counters ------------------------
-  violations += backlogged_.CheckIntegrity(subfail);
-  int64_t resident = 0;
-  for (const FlowQueue* q : backlogged_) {
-    if (q->packets.empty()) {
-      report("empty queue on the global backlogged list");
-      continue;
+  // --- Fattest-queue index, byte counters and TID assignment ---------------
+  // Every queue is a pool queue or a live TID's overflow queue.
+  auto for_each_queue = [this](auto&& visit) {
+    for (const FlowQueue& q : pool_) {
+      visit(q);
     }
-    resident += static_cast<int64_t>(q->packets.size());
-    int64_t bytes = 0;
-    for (const PacketPtr& p : q->packets) {
-      bytes += p->size_bytes;
-    }
-    if (bytes != q->bytes) {
-      std::ostringstream os;
-      os << "queue byte counter mismatch: counted=" << bytes << " stored=" << q->bytes;
-      report(os.str());
-    }
-    if (q->tid == nullptr) {
-      report("backlogged queue has no TID assignment");
-    }
-  }
-  if (resident != total_packets_) {
-    std::ostringstream os;
-    os << "resident recount mismatch: backlogged lists hold " << resident
-       << " packets but total_packets=" << total_packets_;
-    report(os.str());
-  }
-
-  // Every non-empty queue (pool and overflow) must be on the backlogged list.
-  auto check_backlog_membership = [&](const FlowQueue& q, const char* kind) {
-    if (!q.packets.empty() && !q.backlog_node.linked()) {
-      std::ostringstream os;
-      os << "non-empty " << kind << " queue missing from the global backlogged list";
-      report(os.str());
+    for (const auto& txq : tids_) {
+      if (txq != nullptr) {
+        visit(txq->overflow);
+      }
     }
   };
-  for (const FlowQueue& q : pool_) {
-    check_backlog_membership(q, "pool");
+  violations += fattest_.CheckInvariants(for_each_queue, subfail);
+  int64_t resident = 0;
+  for_each_queue([&](const FlowQueue& q) {
+    // FlushStation finds a TID's queues through its new/old lists.
+    if ((q.tid != nullptr) != q.sched_node.linked()) {
+      report("queue TID assignment disagrees with its new/old list membership");
+    }
+    if (q.packets.empty()) {
+      return;
+    }
+    resident += static_cast<int64_t>(q.packets.size());
+    int64_t bytes = 0;
+    for (const PacketPtr& p : q.packets) {
+      bytes += p->size_bytes;
+    }
+    if (bytes != q.bytes) {
+      std::ostringstream os;
+      os << "queue byte counter mismatch: counted=" << bytes << " stored=" << q.bytes;
+      report(os.str());
+    }
+    if (q.tid == nullptr) {
+      report("backlogged queue has no TID assignment");
+    }
+  });
+  if (resident != total_packets_) {
+    std::ostringstream os;
+    os << "resident recount mismatch: queues hold " << resident
+       << " packets but total_packets=" << total_packets_;
+    report(os.str());
   }
 
   // --- Per-TID structure, deficits and CoDel validity ---------------------
@@ -273,26 +269,15 @@ int MacQueues::CheckInvariants(AuditFailFn fail) const {
     if (txq == nullptr) {
       continue;  // Never created, or torn down by FlushStation.
     }
-    check_backlog_membership(txq->overflow, "overflow");
     violations += txq->new_queues.CheckIntegrity(subfail);
     violations += txq->old_queues.CheckIntegrity(subfail);
 
-    int recount = static_cast<int>(txq->overflow.packets.size());
-    for (const FlowQueue& q : pool_) {
-      if (q.tid == txq.get()) {
-        recount += static_cast<int>(q.packets.size());
-      }
-    }
-    if (recount != txq->backlog_packets) {
-      std::ostringstream os;
-      os << "TID backlog counter mismatch for station " << txq->station << " tid "
-         << static_cast<int>(txq->tid) << ": recount=" << recount
-         << " stored=" << txq->backlog_packets;
-      report(os.str());
-    }
-
+    // Every backlogged queue of the TID, its overflow queue included, is on
+    // its new/old lists (checked above), so they give the recount.
+    int recount = 0;
     for (const auto* list : {&txq->new_queues, &txq->old_queues}) {
       for (const FlowQueue* q : *list) {
+        recount += static_cast<int>(q->packets.size());
         if (q->tid != txq.get()) {
           report("scheduled queue is assigned to a different TID");
         }
@@ -310,6 +295,13 @@ int MacQueues::CheckInvariants(AuditFailFn fail) const {
         }
         violations += q->codel.CheckValid(subfail);
       }
+    }
+    if (recount != txq->backlog_packets) {
+      std::ostringstream os;
+      os << "TID backlog counter mismatch for station " << txq->station << " tid "
+         << static_cast<int>(txq->tid) << ": recount=" << recount
+         << " stored=" << txq->backlog_packets;
+      report(os.str());
     }
   }
   return violations;

@@ -12,7 +12,9 @@
 //  * A single *global* packet limit covers all queues; on overflow, packets
 //    are dropped from the globally longest queue, which prevents one flow —
 //    in practice the slow station's — from locking out the others
-//    (Algorithm 1, lines 2-4; Section 4.1.2).
+//    (Algorithm 1, lines 2-4; Section 4.1.2). The longest queue is the top
+//    of a FattestIndex (src/util/fattest_index.h), found in O(1) and kept in
+//    O(log n); ties go to the queue that became backlogged earliest.
 //  * The FQ-CoDel DRR scheduler (deficits, new/old lists, sparse-flow
 //    priority) runs per TID over that TID's active queues (Algorithm 2).
 //  * CoDel parameters are resolved *per station* at dequeue time so the
@@ -30,6 +32,7 @@
 #include "src/aqm/codel.h"
 #include "src/mac/frame.h"
 #include "src/net/packet.h"
+#include "src/util/fattest_index.h"
 #include "src/util/function_ref.h"
 #include "src/util/inline_function.h"
 #include "src/util/intrusive_list.h"
@@ -101,11 +104,11 @@ class MacQueues {
   // violation and returning the violation count:
   //  * packet conservation: enqueued == dequeued + dropped + resident,
   //    including the per-TID overflow queues;
-  //  * the global backlogged list contains exactly the non-empty queues and
-  //    its per-queue byte counters match the packets held;
-  //  * per-TID backlog counters match a recount;
-  //  * scheduled-queue/TID assignment consistency and intrusive-list
-  //    structural integrity (new, old and backlogged lists);
+  //  * the FattestIndex invariants over all pool and overflow queues, and
+  //    per-queue byte counters match the packets held;
+  //  * a queue has a TID exactly when it is on that TID's new/old list
+  //    (FlushStation relies on this); per-TID backlog counters match a
+  //    recount; intrusive-list structural integrity (new and old lists);
   //  * FQ-CoDel deficit bounds: deficit <= quantum always, and a queue's
   //    deficit never falls to -max_packet_size or below (one dequeue charges
   //    at most one packet against a positive deficit);
@@ -118,6 +121,7 @@ class MacQueues {
   void CorruptDeficitForTesting();
   void CorruptCodelStateForTesting();
   void CorruptTidBacklogForTesting();
+  void CorruptFattestIndexForTesting() { fattest_.BreakOrderForTesting(); }
 
  private:
   struct TidQueue;
@@ -129,7 +133,7 @@ class MacQueues {
     CoDelState codel;
     TidQueue* tid = nullptr;  // Current TID assignment; nullptr when free.
     ListNode sched_node;      // On the owning TID's new/old list when active.
-    ListNode backlog_node;    // On the global backlogged list when non-empty.
+    FattestNode fattest;      // In fattest_ when non-empty.
   };
 
   struct TidQueue {
@@ -157,7 +161,9 @@ class MacQueues {
   // dequeue path instead of a hash probe, which matters at 256 stations.
   // nullptr = never created, or torn down by FlushStation.
   std::vector<std::unique_ptr<TidQueue>> tids_;
-  IntrusiveList<FlowQueue, &FlowQueue::backlog_node> backlogged_;
+  FattestIndex<FlowQueue, &FlowQueue::fattest> fattest_;
+  // Tie-break order for fattest_, taken each time a queue becomes non-empty.
+  uint64_t backlog_seq_ = 0;
   int total_packets_ = 0;
   int64_t codel_drops_ = 0;
   int64_t overflow_drops_ = 0;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/aqm/fifo.h"
 #include "src/aqm/fq_codel.h"
+#include "src/util/flow_hash.h"
 #include "tests/test_util.h"
 
 namespace airfair {
@@ -160,6 +163,41 @@ TEST_F(FqCodelTest, CodelAppliesPerFlow) {
     (void)q.Dequeue();
   }
   EXPECT_GT(q.codel_drops(), 0);
+}
+
+TEST_F(FqCodelTest, OverflowTieDropsLowestQueueIndex) {
+  // Equal backlogs: the fattest-flow pick breaks the tie by queue index, so
+  // the lowest-indexed queue loses even when its packet arrived last.
+  const auto slot = [](uint16_t port) {
+    return HashFlow(MakePacket(1500, port)->flow) %
+           static_cast<size_t>(FqCodelConfig().flows);
+  };
+  uint16_t lowest = 1000;
+  for (uint16_t port = 1001; port < 1003; ++port) {
+    if (slot(port) < slot(lowest)) {
+      lowest = port;
+    }
+  }
+  FqCodelConfig config;
+  config.limit_packets = 2;
+  FqCodelQdisc q = Make(config);
+  int64_t seq = 0;
+  for (uint16_t port = 1000; port < 1003; ++port) {
+    if (port != lowest) {
+      auto p = MakePacket(1500, port);
+      p->flow_seq = seq++;
+      q.Enqueue(std::move(p));
+    }
+  }
+  auto last = MakePacket(1500, lowest);
+  last->flow_seq = seq;
+  q.Enqueue(std::move(last));
+  EXPECT_EQ(q.overflow_drops(), 1);
+  std::vector<int64_t> served;
+  while (PacketPtr p = q.Dequeue()) {
+    served.push_back(p->flow_seq);
+  }
+  EXPECT_EQ(served, (std::vector<int64_t>{0, 1}));
 }
 
 TEST_F(FqCodelTest, DefaultsMatchLinuxQdisc) {

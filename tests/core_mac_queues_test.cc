@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "src/util/flow_hash.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -112,6 +114,57 @@ TEST_F(MacQueuesTest, GlobalLimitDropsFromLongestQueue) {
   EXPECT_EQ(q.overflow_drops(), 1);
   EXPECT_EQ(q.TidBacklog(0, 0), 7);
   EXPECT_EQ(q.TidBacklog(1, 0), 3);
+}
+
+// Pool slot of the flow MakePacket builds for `src_port` (default config).
+size_t PoolSlot(uint16_t src_port) {
+  return HashFlow(MakePacket(1500, src_port)->flow) %
+         static_cast<size_t>(MacQueues::Config().flow_queues);
+}
+
+// Two ports whose pool slots are distinct, the first at the higher slot.
+std::pair<uint16_t, uint16_t> PortsWithFirstAtHigherSlot() {
+  const uint16_t a = 1000;
+  for (uint16_t b = 1001;; ++b) {
+    if (PoolSlot(b) < PoolSlot(a)) {
+      return {a, b};
+    }
+  }
+}
+
+TEST_F(MacQueuesTest, OverflowTieDropsEarliestBackloggedQueue) {
+  // Equal backlogs: find_longest_queue breaks the tie by backlog age, not
+  // by pool position. The earliest-backlogged queue loses even though it
+  // sits at the higher pool slot.
+  const auto [early, late] = PortsWithFirstAtHigherSlot();
+  MacQueues::Config config;
+  config.global_limit_packets = 2;
+  MacQueues q = Make(config);
+  q.Enqueue(Flow(early), 0, 0);
+  q.Enqueue(Flow(late), 1, 0);
+  q.Enqueue(Flow(2000), 2, 0);
+  EXPECT_EQ(q.overflow_drops(), 1);
+  EXPECT_EQ(q.TidBacklog(0, 0), 0);
+  EXPECT_EQ(q.TidBacklog(1, 0), 1);
+  EXPECT_EQ(q.TidBacklog(2, 0), 1);
+}
+
+TEST_F(MacQueuesTest, RefilledQueueMovesToBackOfTieOrder) {
+  // A queue that empties and refills counts as newly backlogged: it goes
+  // behind every queue that stayed backlogged, even one at a higher slot.
+  const auto [high, low] = PortsWithFirstAtHigherSlot();
+  MacQueues::Config config;
+  config.global_limit_packets = 2;
+  MacQueues q = Make(config);
+  q.Enqueue(Flow(low), 0, 0);
+  q.Enqueue(Flow(high), 1, 0);
+  ASSERT_NE(q.Dequeue(0, 0), nullptr);  // Station 0's queue empties...
+  q.Enqueue(Flow(low), 0, 0);           // ...and refills.
+  q.Enqueue(Flow(2000), 2, 0);
+  EXPECT_EQ(q.overflow_drops(), 1);
+  EXPECT_EQ(q.TidBacklog(0, 0), 1);
+  EXPECT_EQ(q.TidBacklog(1, 0), 0);
+  EXPECT_EQ(q.TidBacklog(2, 0), 1);
 }
 
 TEST_F(MacQueuesTest, GlobalLimitPreventsLockout) {

@@ -373,6 +373,20 @@ TEST_F(MacQueuesAudit, DetectsTidBacklogMiscount) {
   EXPECT_FALSE(Audit().empty());
 }
 
+// The queues enqueued by the fixture all hold 1500 bytes, so the index's
+// top is decided by the tie-break order alone; swapping it with the last
+// member breaks the heap order and makes the top disagree with a scan.
+TEST_F(MacQueuesAudit, DetectsBrokenFattestIndex) {
+  queues_.CorruptFattestIndexForTesting();
+  const std::vector<std::string> violations = Audit();
+  ASSERT_FALSE(violations.empty());
+  bool top_mismatch = false;
+  for (const std::string& m : violations) {
+    top_mismatch |= m.find("top differs from the linear scan") != std::string::npos;
+  }
+  EXPECT_TRUE(top_mismatch);
+}
+
 TEST(AirtimeSchedulerAudit, DetectsDeficitAboveQuantum) {
   AirtimeScheduler scheduler((AirtimeScheduler::Config()));
   scheduler.MarkBacklogged(/*station=*/0, AccessCategory::kBestEffort);
@@ -440,6 +454,27 @@ TEST(FqCodelAudit, DetectsConservationViolation) {
   EXPECT_FALSE(Violations([&](const Auditor::FailFn& fail) {
                  qdisc.CheckInvariants(fail);
                }).empty());
+}
+
+TEST(FqCodelAudit, DetectsBrokenFattestIndex) {
+  Simulation sim;
+  FqCodelQdisc qdisc([&sim] { return sim.now(); }, FqCodelConfig());
+  for (int i = 0; i < 8; ++i) {
+    qdisc.Enqueue(MakePacket(1500, static_cast<uint16_t>(1000 + i)));
+  }
+  const auto audit = [&] {
+    return Violations([&](const Auditor::FailFn& fail) { qdisc.CheckInvariants(fail); });
+  };
+  EXPECT_TRUE(audit().empty());
+
+  qdisc.CorruptFattestIndexForTesting();
+  const std::vector<std::string> violations = audit();
+  ASSERT_FALSE(violations.empty());
+  bool top_mismatch = false;
+  for (const std::string& m : violations) {
+    top_mismatch |= m.find("top differs from the linear scan") != std::string::npos;
+  }
+  EXPECT_TRUE(top_mismatch);
 }
 
 class ReorderAudit : public ::testing::Test {
