@@ -21,7 +21,7 @@ struct PltCell {
 };
 
 PltCell MedianPlt(QueueScheme scheme, const WebPage& page, bool slow_client, int reps) {
-  // Repetitions of one table cell, sharded by the parallel runner.
+  // Repetitions of one table cell, spread over the parallel runner.
   const auto results = RunRepetitions<WebResult>(reps, [&](int rep) {
     return RunWeb(scheme, 1000 + static_cast<uint64_t>(rep), page, slow_client,
                   TimeUs::FromSeconds(120), 3);

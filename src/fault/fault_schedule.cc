@@ -1,6 +1,8 @@
 #include "src/fault/fault_schedule.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "src/util/check.h"
@@ -99,6 +101,27 @@ bool ParseDouble(const std::string& text, double* out) {
   return true;
 }
 
+// Strict unsigned decimal: digits only (no sign, blank or suffix) and no
+// wrap-around past 2^64 - 1.
+bool ParseUint64(const char* text, uint64_t* out) {
+  if (*text == '\0') {
+    return false;
+  }
+  uint64_t value = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') {
+      return false;
+    }
+    const uint64_t digit = static_cast<uint64_t>(*p - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseMs(const std::string& text, TimeUs* out) {
   int ms = 0;
   if (!ParseInt(text, &ms) || ms < 0) {
@@ -186,7 +209,11 @@ FaultPlan FaultPlanFromEnv() {
 
 uint64_t ChurnSeedFromEnv(uint64_t testbed_seed) {
   if (const char* env = std::getenv("AIRFAIR_CHURN_SEED"); env != nullptr && *env != '\0') {
-    return std::strtoull(env, nullptr, 10);
+    uint64_t seed = 0;
+    AF_CHECK(ParseUint64(env, &seed))
+        << " AIRFAIR_CHURN_SEED: expected an unsigned decimal integer below 2^64,"
+        << " got \"" << env << "\"";
+    return seed;
   }
   // Decorrelate from the traffic seed without an extra knob: the golden
   // ratio step is splitmix64's increment, so nearby testbed seeds still get

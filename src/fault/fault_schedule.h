@@ -84,7 +84,10 @@ FaultPlan FaultPlanFromEnv();
 // otherwise derived from the testbed seed. Kept apart from Simulation::rng()
 // so enabling faults never perturbs the traffic randomness (the same
 // scenario with and without a schedule stays comparable), and an A/B run
-// can vary the fault randomness without touching the traffic stream.
+// can vary the fault randomness without touching the traffic stream. A set
+// value must be an unsigned decimal integer that fits in 64 bits; anything
+// else (letters, a sign, a trailing suffix, overflow) fails an AF_CHECK
+// naming the variable.
 uint64_t ChurnSeedFromEnv(uint64_t testbed_seed);
 
 }  // namespace airfair

@@ -4,7 +4,7 @@
 // over several seeds and reports medians-of-means. Repetitions are
 // embarrassingly parallel — each owns its Simulation/EventLoop, Testbed and
 // RNG, and nothing is shared except the process-global named counters
-// (atomic) — so the runner shards (scheme, repetition) jobs across a
+// (atomic) — so the runner spreads (scheme, repetition) jobs across a
 // std::thread pool and stores each result at its job index. Merging by
 // index on the calling thread makes the output order — and therefore every
 // derived statistic — identical for any thread count, including 1: the
@@ -20,9 +20,8 @@
 // translation unit is a *thread-entry* TU under airfair_lint's
 // domain-crossing rule: it may not name event-loop-domain types except
 // through the gateway whitelist (tools/analyze/domain_gateways.txt), which
-// is what keeps the runner a pure job scheduler. A future sharded event
-// loop must extend the gateway list explicitly rather than reaching into
-// core types ad hoc.
+// is what keeps the runner a pure job scheduler. The whitelist is empty:
+// parallelism lives between simulations, never inside one.
 
 #ifndef AIRFAIR_SRC_SCENARIO_PARALLEL_RUNNER_H_
 #define AIRFAIR_SRC_SCENARIO_PARALLEL_RUNNER_H_
@@ -56,8 +55,8 @@ std::vector<Result> RunRepetitions(int reps, Fn&& fn, int threads = 0) {
 }
 
 // Runs fn(scheme_index, rep) over the full (scheme, repetition) grid —
-// sharding across *both* dimensions so a 4-scheme x 8-rep figure keeps every
-// worker busy — and returns results as out[scheme_index][rep].
+// spreading jobs across *both* dimensions so a 4-scheme x 8-rep figure keeps
+// every worker busy — and returns results as out[scheme_index][rep].
 template <typename Result, typename Fn>
 std::vector<std::vector<Result>> RunSchemeRepetitions(int schemes, int reps,
                                                       Fn&& fn,

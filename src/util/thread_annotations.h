@@ -1,7 +1,7 @@
 // Clang thread-safety annotation macros (AF_GUARDED_BY and friends).
 //
 // The simulator core is single-threaded by design, but its *edges* are not:
-// the parallel repetition runner (src/scenario/parallel_runner.h) shards
+// the parallel repetition runner (src/scenario/parallel_runner.h) spreads
 // (scheme, repetition) cells across worker threads, and those workers all
 // touch the named-counter registry (util/stats), the per-thread check hooks
 // (util/check), the log level (util/logging) and the thread-local trace

@@ -2,20 +2,25 @@
 // Gilbert-Elliott chain determinism, and the injector's churn / burst /
 // fade perturbations applied to a live testbed — including the conservation
 // property that makes churn auditable: every packet destroyed by a teardown
-// is accounted as `drained`, so the ledger still balances mid-churn.
+// is accounted as `drained`, so the ledger still balances mid-churn — and
+// the determinism of faulted runs end to end.
 
 #include "src/fault/fault_injector.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/fault/fault_schedule.h"
 #include "src/fault/gilbert_elliott.h"
 #include "src/net/udp.h"
+#include "src/scenario/experiments.h"
 #include "src/scenario/testbed.h"
+#include "src/util/check.h"
 #include "tools/analyze/trace_stats.h"
 
 namespace airfair {
@@ -112,6 +117,24 @@ TEST(FaultSchedule, ChurnSeedPrefersEnvThenDerivesFromTestbedSeed) {
   EXPECT_NE(derived1, 1u);
   ::setenv("AIRFAIR_CHURN_SEED", "1234", /*overwrite=*/1);
   EXPECT_EQ(ChurnSeedFromEnv(1), 1234u);
+  ::setenv("AIRFAIR_CHURN_SEED", "18446744073709551615", /*overwrite=*/1);
+  EXPECT_EQ(ChurnSeedFromEnv(1), 18446744073709551615u);
+
+  // Malformed values fail with a message naming the variable instead of
+  // silently seeding 0 ("abc"), 12 ("12x") or 2^64 - 1 ("-1").
+  const char* bad[] = {"abc", "12x", "-1", "18446744073709551616"};
+  for (const char* value : bad) {
+    ::setenv("AIRFAIR_CHURN_SEED", value, /*overwrite=*/1);
+    std::vector<std::string> messages;
+    {
+      ScopedCheckFailureHandler guard(
+          [&](const char*, int, const std::string& m) { messages.push_back(m); });
+      (void)ChurnSeedFromEnv(1);
+    }
+    ASSERT_EQ(messages.size(), 1u) << value;
+    EXPECT_NE(messages[0].find("AIRFAIR_CHURN_SEED"), std::string::npos) << messages[0];
+    EXPECT_NE(messages[0].find(value), std::string::npos) << messages[0];
+  }
   ::unsetenv("AIRFAIR_CHURN_SEED");
 }
 
@@ -299,6 +322,120 @@ TEST(FaultInjection, BurstLossReducesDeliveryDeterministically) {
   EXPECT_LT(bursty, clean);
   // Determinism: the same seeded run reproduces byte-for-byte.
   EXPECT_EQ(bursty, measured_bytes(0.9));
+}
+
+// --- Determinism of faulted runs ---
+
+// Short warmup/measure: determinism needs identical dispatch histories, not
+// steady state.
+ExperimentTiming ShortTiming() {
+  ExperimentTiming timing;
+  timing.warmup = 100_ms;
+  timing.measure = 300_ms;
+  return timing;
+}
+
+// Every fault kind inside ShortTiming's 400 ms span: a leave/rejoin cycle on
+// station 1, a burst-loss window on station 2 and a fade-and-restore on
+// station 0.
+FaultPlan ChurnPlan() {
+  FaultPlan plan;
+  plan.Leave(1, 120_ms)
+      .Join(1, 240_ms)
+      .Burst(2, 150_ms, 80_ms, 0.8)
+      .Fade(0, 180_ms, /*mcs=*/0, /*restore_after=*/120_ms);
+  return plan;
+}
+
+TestbedConfig FaultedConfig(QueueScheme scheme, bool pool) {
+  TestbedConfig config;
+  config.seed = 23;
+  config.scheme = scheme;
+  config.packet_pool = pool;
+  config.faults = ChurnPlan();
+  config.churn_seed = 77;  // Pin it: the env fallback would vary per machine.
+  return config;
+}
+
+void ExpectMeasurementsIdentical(const StationMeasurements& a, const StationMeasurements& b) {
+  EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
+  EXPECT_EQ(a.airtime_share, b.airtime_share);
+  EXPECT_EQ(a.mean_aggregation, b.mean_aggregation);
+  EXPECT_EQ(a.jain_airtime, b.jain_airtime);
+  EXPECT_EQ(a.total_throughput_mbps, b.total_throughput_mbps);
+  ASSERT_EQ(a.ping_rtt_ms.size(), b.ping_rtt_ms.size());
+  for (size_t i = 0; i < a.ping_rtt_ms.size(); ++i) {
+    EXPECT_EQ(a.ping_rtt_ms[i].samples(), b.ping_rtt_ms[i].samples());
+  }
+}
+
+TEST(FaultInjection, FaultedRunBitIdenticalWithPoolOnAndOffAllSchemes) {
+  // Churn, burst loss and fades tear down and rebuild station state (station
+  // table, AP queues, reorder buffers) mid-run; packet pooling must not leak
+  // into any of it. No tolerances: every derived number is the same double.
+  for (const QueueScheme scheme : {QueueScheme::kFifo, QueueScheme::kFqCodel,
+                                   QueueScheme::kFqMac, QueueScheme::kAirtimeFair}) {
+    SCOPED_TRACE(SchemeName(scheme));
+    const StationMeasurements pooled =
+        RunUdpDownload(FaultedConfig(scheme, true), ShortTiming(), 30e6);
+    const StationMeasurements heap =
+        RunUdpDownload(FaultedConfig(scheme, false), ShortTiming(), 30e6);
+    EXPECT_GT(pooled.total_throughput_mbps, 0.0);
+    ExpectMeasurementsIdentical(pooled, heap);
+  }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(FaultInjection, FaultedTimeseriesByteIdenticalWithPerturbationMarks) {
+  // The churn analysis pipeline end to end: two runs of one faulted config
+  // export the same timeseries bytes — including the perturbation marks
+  // trace_stats gates reconvergence on — and the marks land at the
+  // scheduled instants with the right kind codes.
+  const std::string dir = ::testing::TempDir();
+  const auto run = [&](const std::string& tag) {
+    const std::string path = dir + "churn_series_" + tag + ".jsonl";
+    ::setenv("AIRFAIR_TIMESERIES_JSON", path.c_str(), /*overwrite=*/1);
+    // ~Testbed writes the artifact before RunUdpDownload returns.
+    RunUdpDownload(FaultedConfig(QueueScheme::kAirtimeFair, true), ShortTiming(), 30e6);
+    ::unsetenv("AIRFAIR_TIMESERIES_JSON");
+    return path;
+  };
+  const std::string first = run("a");
+  const std::string second = run("b");
+
+  const std::string first_bytes = ReadFileBytes(first);
+  ASSERT_FALSE(first_bytes.empty());
+  EXPECT_EQ(first_bytes, ReadFileBytes(second));
+
+  std::string error;
+  analyze::TimeseriesData ts;
+  ASSERT_TRUE(analyze::LoadTimeseriesJsonl(first, &ts, &error)) << error;
+  const auto marks = ts.series.find(analyze::kPerturbationSeries);
+  ASSERT_NE(marks, ts.series.end());
+  // ChurnPlan yields five reconvergence marks: leave, join, burst end, fade
+  // apply, fade restore — and one onset mark at the burst start.
+  ASSERT_EQ(marks->second.size(), 5u);
+  EXPECT_EQ(marks->second[0].first, (120_ms).us());   // leave
+  EXPECT_EQ(marks->second[0].second, 1.0);
+  EXPECT_EQ(marks->second[1].first, (180_ms).us());   // fade apply
+  EXPECT_EQ(marks->second[1].second, 4.0);
+  EXPECT_EQ(marks->second[2].first, (230_ms).us());   // burst end
+  EXPECT_EQ(marks->second[2].second, 3.0);
+  EXPECT_EQ(marks->second[3].first, (240_ms).us());   // join
+  EXPECT_EQ(marks->second[3].second, 2.0);
+  EXPECT_EQ(marks->second[4].first, (300_ms).us());   // fade restore
+  EXPECT_EQ(marks->second[4].second, 4.0);
+  const auto onsets = ts.series.find("perturbation_onset");
+  ASSERT_NE(onsets, ts.series.end());
+  ASSERT_EQ(onsets->second.size(), 1u);
+  EXPECT_EQ(onsets->second[0].first, (150_ms).us());  // burst start
+  EXPECT_EQ(onsets->second[0].second, 3.0);
 }
 
 // --- Windowed Jain semantics under churn ---

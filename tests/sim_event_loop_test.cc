@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/simulation.h"
@@ -130,6 +131,88 @@ TEST(Simulation, SeedControlsRngStream) {
   Simulation a(42);
   Simulation b(42);
   EXPECT_EQ(a.rng().Next(), b.rng().Next());
+}
+
+// One recorded dispatch: which actor ran, when, and its state word.
+struct LogEntry {
+  int actor = 0;
+  int64_t when_us = 0;
+  uint64_t state = 0;
+
+  bool operator==(const LogEntry& other) const = default;
+};
+
+// splitmix64 step, so each event's state depends on everything its actor
+// did before it.
+uint64_t Mix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e9b5ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// A self-reposting chain of events that now and then posts a delayed event
+// carrying its state into the next actor's log. A change in same-time
+// dispatch order therefore changes recorded states, not just interleaving.
+struct Actor {
+  Simulation* sim = nullptr;
+  int id = 0;
+  uint64_t state = 0;
+  std::vector<LogEntry>* log = nullptr;
+  std::vector<LogEntry>* peer_log = nullptr;
+
+  void Step() {
+    state = Mix(state);
+    log->push_back(LogEntry{id, sim->now().us(), state});
+    if (state % 5 == 0) {
+      Simulation* s = sim;
+      std::vector<LogEntry>* target = peer_log;
+      const int from = id;
+      const uint64_t carried = state;
+      sim->PostAfter(TimeUs(100 + static_cast<int64_t>(state % 50)),
+                     [s, target, from, carried] {
+                       target->push_back(LogEntry{~from, s->now().us(), Mix(carried)});
+                     });
+    }
+    sim->PostAfter(TimeUs(1 + static_cast<int64_t>(state % 7)), [this] { Step(); });
+  }
+};
+
+// Runs six actors for 24 ms in `segments` equal RunFor calls and returns
+// the per-actor logs.
+std::vector<std::vector<LogEntry>> RunActors(int segments) {
+  constexpr int kActors = 6;
+  Simulation sim(1234);
+  std::vector<std::vector<LogEntry>> logs(kActors);
+  std::vector<Actor> actors(kActors);
+  for (int a = 0; a < kActors; ++a) {
+    Actor& actor = actors[static_cast<size_t>(a)];
+    actor.sim = &sim;
+    actor.id = a;
+    actor.state = static_cast<uint64_t>(a) + 1;
+    actor.log = &logs[static_cast<size_t>(a)];
+    actor.peer_log = &logs[static_cast<size_t>((a + 1) % kActors)];
+    Actor* raw = &actor;
+    sim.PostAt(TimeUs(a), [raw] { raw->Step(); });
+  }
+  for (int i = 0; i < segments; ++i) {
+    sim.RunFor(24_ms / segments);
+  }
+  EXPECT_EQ(sim.now(), 24_ms);
+  return logs;
+}
+
+TEST(Simulation, SegmentedRunsMatchOneShot) {
+  // RunFor in many segments must land on the same state as one long run:
+  // events due exactly at a segment boundary fire before it ends, and
+  // nothing is reordered across it.
+  const auto one_shot = RunActors(1);
+  const auto segmented = RunActors(24);
+  ASSERT_EQ(one_shot.size(), segmented.size());
+  for (size_t a = 0; a < one_shot.size(); ++a) {
+    EXPECT_GT(one_shot[a].size(), 1000u) << "workload too small to be a test";
+    EXPECT_EQ(one_shot[a], segmented[a]) << "actor " << a << " diverged";
+  }
 }
 
 }  // namespace
