@@ -1,207 +1,32 @@
 #include "src/aqm/fq_codel.h"
 
-#include <algorithm>
-#include <sstream>
+#include <string>
 #include <utility>
 
-#include "src/obs/trace.h"
 #include "src/util/check.h"
-#include "src/util/flow_hash.h"
 
 namespace airfair {
 
 FqCodelQdisc::FqCodelQdisc(InlineFunction<TimeUs()> clock, const FqCodelConfig& config)
-    : clock_(std::move(clock)), config_(config), queues_(config.flows) {}
-
-PacketPtr FqCodelQdisc::PullHead(FlowQueue& q) {
-  if (q.packets.empty()) {
-    return nullptr;
-  }
-  PacketPtr p = std::move(q.packets.front());
-  q.packets.pop_front();
-  q.bytes -= p->size_bytes;
-  --total_packets_;
-  if (q.packets.empty()) {
-    fattest_.Remove(&q);
-  } else {
-    fattest_.Update(&q);
-  }
-  return p;
-}
-
-void FqCodelQdisc::DropFromFattest() {
-  FlowQueue* q = fattest_.Top();
-  if (q == nullptr) {
-    return;
-  }
-  // fq_codel drops from the head of the fattest flow.
-  PacketPtr victim = PullHead(*q);
-  ++overflow_drops_;
-  ++drops_;
-  // The qdisc sits above the driver (host scope), so there is no station
-  // identity to attach; station=-1 marks host-qdisc records.
-  AF_TRACE_OVERFLOW_DROP(clock_(), -1, victim->tid, total_packets_,
-                         victim->size_bytes);
+    : config_(config),
+      queues_(std::move(clock), config.flows, config.quantum_bytes, config.hash_perturbation,
+              FlowQueueSet::TieBreak::kQueueIndex) {
+  // A limit below 1 would drop from an empty set forever.
+  AF_CHECK_GE(config.limit_packets, 1) << " FqCodelConfig::limit_packets";
 }
 
 void FqCodelQdisc::Enqueue(PacketPtr packet) {
-  const uint64_t h = HashFlow(packet->flow, config_.hash_perturbation);
-  FlowQueue& q = queues_[h % queues_.size()];
-  const TimeUs now = clock_();
-  packet->enqueued = now;
-  AF_DCHECK_GT(packet->size_bytes, 0);
-  max_packet_bytes_seen_ = std::max(max_packet_bytes_seen_, packet->size_bytes);
-  ++enqueued_total_;
-  q.bytes += packet->size_bytes;
-  q.packets.push_back(std::move(packet));
-  ++total_packets_;
-  AF_TRACE_ENQUEUE(now, -1, q.packets.back()->tid, q.packets.back()->size_bytes,
-                   total_packets_);
-  if (q.fattest.linked()) {
-    fattest_.Update(&q);
-  } else {
-    fattest_.Insert(&q, static_cast<uint64_t>(&q - queues_.data()));
-  }
-  if (!q.node.linked()) {
-    // Queue just became backlogged: it is a "new" flow and gets one
-    // priority round (the sparse-flow optimisation).
-    q.is_new = true;
-    q.deficit = config_.quantum_bytes;
-    new_flows_.PushBack(&q);
-  }
-  while (total_packets_ > config_.limit_packets) {
-    DropFromFattest();
+  queues_.Push(tin_, std::move(packet));
+  while (queues_.packet_count() > config_.limit_packets) {
+    queues_.DropFattest();
   }
 }
 
-PacketPtr FqCodelQdisc::Dequeue() {
-  const TimeUs now = clock_();
-  for (;;) {
-    FlowQueue* q = nullptr;
-    bool from_new = false;
-    if (!new_flows_.empty()) {
-      q = new_flows_.Front();
-      from_new = true;
-    } else if (!old_flows_.empty()) {
-      q = old_flows_.Front();
-    } else {
-      return nullptr;
-    }
-    if (q->deficit <= 0) {
-      q->deficit += config_.quantum_bytes;
-      q->is_new = false;
-      old_flows_.MoveToBack(q);
-      continue;
-    }
-    PacketPtr packet = q->codel.Dequeue(
-        now, config_.codel,
-        [this, q]() { return PullHead(*q); },
-        [this, now](const PacketPtr& victim) {
-          ++codel_drops_;
-          ++drops_;
-          AF_TRACE_CODEL_DROP(now, -1, victim->tid,
-                              now.us() - victim->enqueued.us(), codel_drops_);
-        });
-    if (packet == nullptr) {
-      // Queue drained. A new-list queue is moved to the old list (anti-
-      // gaming: it must earn sparse status again); an old-list queue is
-      // removed entirely.
-      if (from_new) {
-        q->is_new = false;
-        old_flows_.MoveToBack(q);
-      } else {
-        q->node.Unlink();
-      }
-      continue;
-    }
-    // The selected queue had a positive deficit no larger than one quantum.
-    AF_DCHECK_GT(q->deficit, 0);
-    AF_DCHECK_LE(q->deficit, config_.quantum_bytes);
-    q->deficit -= packet->size_bytes;
-    ++dequeued_total_;
-    AF_TRACE_DEQUEUE(now, -1, packet->tid, now.us() - packet->enqueued.us(),
-                     total_packets_);
-    return packet;
-  }
-}
+PacketPtr FqCodelQdisc::Dequeue() { return queues_.Dequeue(tin_, config_.codel); }
 
 int FqCodelQdisc::CheckInvariants(AuditFailFn fail) const {
-  int violations = 0;
-  auto report = [&](const std::string& message) {
-    ++violations;
-    fail("fq_codel: " + message);
-  };
-  auto subfail = [&](const std::string& message) { report(message); };
-
-  // Conservation: every packet accepted is dequeued, dropped, or resident.
-  const int64_t accounted =
-      dequeued_total_ + codel_drops_ + overflow_drops_ + total_packets_;
-  if (enqueued_total_ != accounted) {
-    std::ostringstream os;
-    os << "packet conservation violated: enqueued=" << enqueued_total_
-       << " != dequeued=" << dequeued_total_ << " + codel_drops=" << codel_drops_
-       << " + overflow_drops=" << overflow_drops_ << " + resident=" << total_packets_;
-    report(os.str());
-  }
-  // The base-class drop counter mirrors the itemised ones.
-  if (drops() != codel_drops_ + overflow_drops_) {
-    std::ostringstream os;
-    os << "drop counter mismatch: drops=" << drops() << " codel=" << codel_drops_
-       << " overflow=" << overflow_drops_;
-    report(os.str());
-  }
-
-  violations += new_flows_.CheckIntegrity(subfail);
-  violations += old_flows_.CheckIntegrity(subfail);
-  violations += fattest_.CheckInvariants(
-      [this](auto&& visit) {
-        for (const FlowQueue& q : queues_) {
-          visit(q);
-        }
-      },
-      subfail);
-
-  int64_t resident = 0;
-  for (const FlowQueue& q : queues_) {
-    resident += static_cast<int64_t>(q.packets.size());
-    int64_t bytes = 0;
-    for (const PacketPtr& p : q.packets) {
-      bytes += p->size_bytes;
-    }
-    if (bytes != q.bytes) {
-      std::ostringstream os;
-      os << "queue byte counter mismatch: counted=" << bytes << " stored=" << q.bytes;
-      report(os.str());
-    }
-    // A non-empty queue must be scheduled (empty queues may linger on the
-    // old list until the DRR rotation retires them — that is FQ-CoDel
-    // semantics, not a violation).
-    if (!q.packets.empty() && !q.node.linked()) {
-      report("non-empty flow queue is not on the new/old list");
-    }
-    if (q.node.linked()) {
-      if (q.deficit > config_.quantum_bytes) {
-        std::ostringstream os;
-        os << "flow deficit above quantum: deficit=" << q.deficit
-           << " quantum=" << config_.quantum_bytes;
-        report(os.str());
-      }
-      if (max_packet_bytes_seen_ > 0 && q.deficit <= -max_packet_bytes_seen_) {
-        std::ostringstream os;
-        os << "flow deficit below bound: deficit=" << q.deficit
-           << " max_packet_seen=" << max_packet_bytes_seen_;
-        report(os.str());
-      }
-      violations += q.codel.CheckValid(subfail);
-    }
-  }
-  if (resident != total_packets_) {
-    std::ostringstream os;
-    os << "resident recount mismatch: queues hold " << resident
-       << " packets but total_packets=" << total_packets_;
-    report(os.str());
-  }
-  return violations;
+  return queues_.CheckInvariants([this](FlowQueueSet::TinVisitor visit) { visit(tin_); },
+                                 [&](const std::string& message) { fail("fq_codel: " + message); });
 }
 
 }  // namespace airfair

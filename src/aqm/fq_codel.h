@@ -7,24 +7,22 @@
 // is the top of a FattestIndex (src/util/fattest_index.h), ties to the lowest
 // queue index, one drop per excess packet (no Linux drop_batch_size).
 //
-// The paper's contribution in src/core reuses these mechanisms but groups the
-// flow queues per TID so aggregation stays possible — see
-// src/core/mac_queues.h.
+// The queues, the scheduler and the drop are the shared flow-queue core
+// (src/aqm/flow_queues.h) with a single tin; this class adds the packet
+// limit, enforced after each enqueue. The paper's contribution in src/core
+// runs the same core with one tin per TID so aggregation stays possible —
+// see src/core/mac_queues.h.
 
 #ifndef AIRFAIR_SRC_AQM_FQ_CODEL_H_
 #define AIRFAIR_SRC_AQM_FQ_CODEL_H_
 
 #include <cstdint>
-#include <deque>
-#include <string>
-#include <vector>
 
 #include "src/aqm/codel.h"
+#include "src/aqm/flow_queues.h"
 #include "src/aqm/queue_discipline.h"
-#include "src/util/fattest_index.h"
 #include "src/util/function_ref.h"
 #include "src/util/inline_function.h"
-#include "src/util/intrusive_list.h"
 #include "src/util/time.h"
 
 namespace airfair {
@@ -43,54 +41,31 @@ class FqCodelQdisc : public Qdisc {
 
   void Enqueue(PacketPtr packet) override;
   PacketPtr Dequeue() override;
-  int packet_count() const override { return total_packets_; }
+  int packet_count() const override { return queues_.packet_count(); }
+  int64_t drops() const override { return queues_.drops(); }
 
   // Number of distinct flow queues currently backlogged.
-  int active_flows() const { return static_cast<int>(fattest_.size()); }
-  int64_t codel_drops() const { return codel_drops_; }
-  int64_t overflow_drops() const { return overflow_drops_; }
+  int active_flows() const { return queues_.backlogged_queues(); }
+  int64_t codel_drops() const { return queues_.codel_drops(); }
+  int64_t overflow_drops() const { return queues_.overflow_drops(); }
 
   // Lifetime accounting for the conservation audit.
-  int64_t enqueued_total() const { return enqueued_total_; }
-  int64_t dequeued_total() const { return dequeued_total_; }
+  int64_t enqueued_total() const { return queues_.enqueued_total(); }
+  int64_t dequeued_total() const { return queues_.dequeued_total(); }
 
-  // Invariant audit (see src/sim/audit.h). Verifies, calling `fail` once per
-  // violation and returning the violation count: packet conservation,
-  // per-queue byte counters, non-empty queues being scheduled, DRR deficit
-  // bounds, drop-counter consistency, intrusive-list integrity, per-flow
-  // CoDel state validity and the FattestIndex invariants.
+  // Invariant audit (see src/sim/audit.h): FlowQueueSet::CheckInvariants
+  // over the one tin. Calls `fail` once per violation; returns the
+  // violation count.
   int CheckInvariants(AuditFailFn fail) const;
 
   // Test-only corruption hooks for tests/sim_audit_test.cc.
-  void CorruptConservationForTesting() { ++enqueued_total_; }
-  void CorruptFattestIndexForTesting() { fattest_.BreakOrderForTesting(); }
+  void CorruptConservationForTesting() { queues_.CorruptConservationForTesting(); }
+  void CorruptFattestIndexForTesting() { queues_.CorruptFattestIndexForTesting(); }
 
  private:
-  struct FlowQueue {
-    std::deque<PacketPtr> packets;
-    int64_t bytes = 0;
-    int64_t deficit = 0;
-    CoDelState codel;
-    ListNode node;         // On new_flows_ or old_flows_ when backlogged.
-    FattestNode fattest;  // In fattest_ when non-empty.
-    bool is_new = false;
-  };
-
-  void DropFromFattest();
-  PacketPtr PullHead(FlowQueue& q);
-
-  InlineFunction<TimeUs()> clock_;
   FqCodelConfig config_;
-  std::vector<FlowQueue> queues_;
-  IntrusiveList<FlowQueue, &FlowQueue::node> new_flows_;
-  IntrusiveList<FlowQueue, &FlowQueue::node> old_flows_;
-  FattestIndex<FlowQueue, &FlowQueue::fattest> fattest_;
-  int total_packets_ = 0;
-  int64_t codel_drops_ = 0;
-  int64_t overflow_drops_ = 0;
-  int64_t enqueued_total_ = 0;
-  int64_t dequeued_total_ = 0;
-  int32_t max_packet_bytes_seen_ = 0;
+  FlowQueueSet queues_;
+  FlowTin tin_;
 };
 
 }  // namespace airfair

@@ -29,7 +29,9 @@ class Qdisc {
   virtual int packet_count() const = 0;
   bool empty() const { return packet_count() == 0; }
 
-  int64_t drops() const { return drops_; }
+  // Packets the discipline dropped. Disciplines that keep no drops_ count
+  // of their own (FQ-CoDel's flow-queue core counts them) override this.
+  virtual int64_t drops() const { return drops_; }
 
  protected:
   int64_t drops_ = 0;

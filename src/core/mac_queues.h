@@ -19,23 +19,27 @@
 //    priority) runs per TID over that TID's active queues (Algorithm 2).
 //  * CoDel parameters are resolved *per station* at dequeue time so the
 //    Section 3.1.1 low-rate adaptation can apply.
+//
+// The pool, the per-TID lists and overflow queues, the drop and the dequeue
+// are the flow-queue core of src/aqm/flow_queues.h with one FlowTin per
+// (station, TID). This class keeps what is Algorithm 1's own: the global
+// limit enforced before each enqueue, the backlog-order tie-break, the dense
+// (station, TID) -> tin index and the per-station CoDel parameters.
 
 #ifndef AIRFAIR_SRC_CORE_MAC_QUEUES_H_
 #define AIRFAIR_SRC_CORE_MAC_QUEUES_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/aqm/codel.h"
+#include "src/aqm/flow_queues.h"
 #include "src/mac/frame.h"
 #include "src/net/packet.h"
-#include "src/util/fattest_index.h"
 #include "src/util/function_ref.h"
 #include "src/util/inline_function.h"
-#include "src/util/intrusive_list.h"
 #include "src/util/time.h"
 
 namespace airfair {
@@ -76,102 +80,57 @@ class MacQueues {
 
   // Backlogged packets for one TID / overall.
   int TidBacklog(StationId station, Tid tid) const;
-  int packet_count() const { return total_packets_; }
+  int packet_count() const { return queues_.packet_count(); }
 
   // Station-lifecycle teardown (fault-injection churn): destroys every
   // packet resident in the station's TID structures (flow queues assigned to
   // them plus the per-TID overflow queues), releases the flow queues back to
-  // the shared pool and erases the TID states. Flushed packets are tracked
-  // in flushed_total_ so the conservation recount still balances
+  // the shared pool and erases the TID states. Flushed packets are counted
+  // in flushed_total() so the conservation recount still balances
   // (enqueued == dequeued + dropped + flushed + resident). Returns the
   // number of packets destroyed.
   int64_t FlushStation(StationId station);
 
   // Packets destroyed by FlushStation (they were neither dequeued nor
   // dropped by an AQM decision).
-  int64_t flushed_total() const { return flushed_total_; }
+  int64_t flushed_total() const { return queues_.flushed_total(); }
 
-  int64_t codel_drops() const { return codel_drops_; }
-  int64_t overflow_drops() const { return overflow_drops_; }
-  int64_t drops() const { return codel_drops_ + overflow_drops_; }
+  int64_t codel_drops() const { return queues_.codel_drops(); }
+  int64_t overflow_drops() const { return queues_.overflow_drops(); }
+  int64_t drops() const { return queues_.drops(); }
 
   // Lifetime accounting for the conservation audit: every packet handed to
   // Enqueue is eventually dequeued, dropped, or still resident.
-  int64_t enqueued_total() const { return enqueued_total_; }
-  int64_t dequeued_total() const { return dequeued_total_; }
+  int64_t enqueued_total() const { return queues_.enqueued_total(); }
+  int64_t dequeued_total() const { return queues_.dequeued_total(); }
 
-  // Invariant audit (see src/sim/audit.h). Verifies, calling `fail` once per
-  // violation and returning the violation count:
-  //  * packet conservation: enqueued == dequeued + dropped + resident,
-  //    including the per-TID overflow queues;
-  //  * the FattestIndex invariants over all pool and overflow queues, and
-  //    per-queue byte counters match the packets held;
-  //  * a queue has a TID exactly when it is on that TID's new/old list
-  //    (FlushStation relies on this); per-TID backlog counters match a
-  //    recount; intrusive-list structural integrity (new and old lists);
-  //  * FQ-CoDel deficit bounds: deficit <= quantum always, and a queue's
-  //    deficit never falls to -max_packet_size or below (one dequeue charges
-  //    at most one packet against a positive deficit);
-  //  * per-flow CoDel state-machine validity.
+  // Invariant audit (see src/sim/audit.h): FlowQueueSet::CheckInvariants
+  // over every live TID, its overflow queue included. Calls `fail` once per
+  // violation and returns the violation count.
   int CheckInvariants(AuditFailFn fail) const;
 
   // Test-only corruption hooks, used by tests/sim_audit_test.cc to prove the
   // auditor detects each invariant class.
-  void CorruptConservationForTesting() { ++enqueued_total_; }
+  void CorruptConservationForTesting() { queues_.CorruptConservationForTesting(); }
   void CorruptDeficitForTesting();
   void CorruptCodelStateForTesting();
   void CorruptTidBacklogForTesting();
-  void CorruptFattestIndexForTesting() { fattest_.BreakOrderForTesting(); }
+  void CorruptFattestIndexForTesting() { queues_.CorruptFattestIndexForTesting(); }
 
  private:
-  struct TidQueue;
+  FlowTin* FindTin(StationId station, Tid tid) const;
+  // The front queue of the first live TID that has one, or nullptr.
+  FlowQueue* FirstScheduledQueue();
 
-  struct FlowQueue {
-    std::deque<PacketPtr> packets;
-    int64_t bytes = 0;
-    int64_t deficit = 0;
-    CoDelState codel;
-    TidQueue* tid = nullptr;  // Current TID assignment; nullptr when free.
-    ListNode sched_node;      // On the owning TID's new/old list when active.
-    FattestNode fattest;      // In fattest_ when non-empty.
-  };
-
-  struct TidQueue {
-    StationId station = kNoStation;
-    Tid tid = 0;
-    FlowQueue overflow;  // Dedicated collision overflow queue (Algorithm 1).
-    IntrusiveList<FlowQueue, &FlowQueue::sched_node> new_queues;
-    IntrusiveList<FlowQueue, &FlowQueue::sched_node> old_queues;
-    int backlog_packets = 0;
-  };
-
-  TidQueue* FindTid(StationId station, Tid tid) const;
-  TidQueue& GetOrCreateTid(StationId station, Tid tid);
-  void DropFromLongestQueue();
-  PacketPtr PullHead(FlowQueue& queue);
-  CoDelParams ParamsFor(StationId station) const;
-
-  InlineFunction<TimeUs()> clock_;
   Config config_;
   InlineFunction<CoDelParams(StationId)> codel_params_;
-  std::vector<FlowQueue> pool_;
+  FlowQueueSet queues_;
   // Dense TID index: slot station * kNumTids + tid, grown on first use.
   // Station ids are small dense integers, so direct indexing replaces the
-  // former unordered_map — FindTid is two loads on the per-packet enqueue/
+  // former unordered_map — FindTin is two loads on the per-packet enqueue/
   // dequeue path instead of a hash probe, which matters at 256 stations.
   // nullptr = never created, or torn down by FlushStation.
-  std::vector<std::unique_ptr<TidQueue>> tids_;
-  FattestIndex<FlowQueue, &FlowQueue::fattest> fattest_;
-  // Tie-break order for fattest_, taken each time a queue becomes non-empty.
-  uint64_t backlog_seq_ = 0;
-  int total_packets_ = 0;
-  int64_t codel_drops_ = 0;
-  int64_t overflow_drops_ = 0;
-  int64_t enqueued_total_ = 0;
-  int64_t dequeued_total_ = 0;
-  int64_t flushed_total_ = 0;
-  // Largest packet ever enqueued; bounds how far a deficit may go negative.
-  int32_t max_packet_bytes_seen_ = 0;
+  std::vector<std::unique_ptr<FlowTin>> tins_;
 };
 
 }  // namespace airfair

@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "src/util/check.h"
+#include "src/util/env_knob.h"
 
 namespace airfair {
 
@@ -96,27 +96,6 @@ bool ParseDouble(const std::string& text, double* out) {
   const double value = std::strtod(text.c_str(), &end);
   if (end == nullptr || *end != '\0') {
     return false;
-  }
-  *out = value;
-  return true;
-}
-
-// Strict unsigned decimal: digits only (no sign, blank or suffix) and no
-// wrap-around past 2^64 - 1.
-bool ParseUint64(const char* text, uint64_t* out) {
-  if (*text == '\0') {
-    return false;
-  }
-  uint64_t value = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      return false;
-    }
-    const uint64_t digit = static_cast<uint64_t>(*p - '0');
-    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
   }
   *out = value;
   return true;

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/util/env_knob.h"
+
 namespace airfair {
 namespace {
 
@@ -174,14 +176,8 @@ bool TraceEnabledByDefault() {
 }
 
 size_t TraceRingCapacityFromEnv(size_t fallback) {
-  if (const char* env = std::getenv("AIRFAIR_TRACE_RING");
-      env != nullptr && env[0] != '\0') {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) {
-      return static_cast<size_t>(parsed);
-    }
-  }
-  return fallback;
+  return static_cast<size_t>(
+      PositiveIntFromEnv("AIRFAIR_TRACE_RING", kMaxTraceRingRecords, fallback));
 }
 
 }  // namespace airfair

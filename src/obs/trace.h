@@ -239,8 +239,12 @@ class ScopedTraceBuffer {
 // (AIRFAIR_TRACE_JSON / AIRFAIR_TIMESERIES_JSON) implies tracing; else off.
 bool TraceEnabledByDefault();
 
-// Ring capacity override from AIRFAIR_TRACE_RING (records), else
-// `fallback`. Used by the Testbed when building its buffer.
+// Largest ring AIRFAIR_TRACE_RING may ask for: 2^24 records, 768 MiB.
+inline constexpr size_t kMaxTraceRingRecords = size_t{1} << 24;
+
+// Ring capacity override from AIRFAIR_TRACE_RING (records, 1 to
+// kMaxTraceRingRecords; anything else fails an AF_CHECK), else `fallback`.
+// Used by the Testbed when building its buffer.
 size_t TraceRingCapacityFromEnv(size_t fallback);
 
 

@@ -11,6 +11,7 @@
 #include "src/aqm/fq_codel.h"
 #include "src/obs/export.h"
 #include "src/util/check.h"
+#include "src/util/env_knob.h"
 #include "src/util/mutex.h"
 #include "src/util/stats.h"
 
@@ -59,6 +60,23 @@ std::vector<StationSpec> ThreeStationSetup() {
 bool PacketPoolEnabledByDefault() {
   const char* env = std::getenv("AIRFAIR_PACKET_POOL");
   return env == nullptr || std::string(env) != "0";
+}
+
+namespace {
+
+TimeUs IntervalFromEnv(const char* name, TimeUs fallback) {
+  const uint64_t ms = PositiveIntFromEnv(name, kMaxIntervalKnobMs, 0);
+  return ms == 0 ? fallback : TimeUs::FromMilliseconds(static_cast<double>(ms));
+}
+
+}  // namespace
+
+TimeUs SampleIntervalFromEnv(TimeUs fallback) {
+  return IntervalFromEnv("AIRFAIR_SAMPLE_INTERVAL_MS", fallback);
+}
+
+TimeUs AuditIntervalFromEnv(TimeUs fallback) {
+  return IntervalFromEnv("AIRFAIR_AUDIT_INTERVAL_MS", fallback);
 }
 
 namespace {
@@ -357,13 +375,7 @@ void Testbed::BuildTrace(const TestbedConfig& config) {
   airtime_history_.assign(
       window, std::vector<TimeUs>(static_cast<size_t>(station_table_.size()), TimeUs::Zero()));
 
-  sample_interval_ = config.sample_interval;
-  if (const char* env = std::getenv("AIRFAIR_SAMPLE_INTERVAL_MS"); env != nullptr) {
-    const int ms = std::atoi(env);
-    if (ms > 0) {
-      sample_interval_ = TimeUs::FromMilliseconds(ms);
-    }
-  }
+  sample_interval_ = SampleIntervalFromEnv(config.sample_interval);
   // Incremental latency accumulation: every kDeliver append lands in the
   // station's accumulator as it happens, so the sample tick below only
   // sorts and drains — the former per-tick ForEachSince ring scan was
@@ -506,12 +518,7 @@ void Testbed::BuildAuditor(const TestbedConfig& config) {
   Auditor::Config audit_config = config.audit_config;
   // Runtime cadence override for spot-auditing long bench runs without a
   // Debug/audit build (the benches map AIRFAIR_BENCH_AUDIT onto this).
-  if (const char* env = std::getenv("AIRFAIR_AUDIT_INTERVAL_MS"); env != nullptr) {
-    const int ms = std::atoi(env);
-    if (ms > 0) {
-      audit_config.interval = TimeUs::FromMilliseconds(ms);
-    }
-  }
+  audit_config.interval = AuditIntervalFromEnv(audit_config.interval);
   // Wall-clock batching for sparse workloads (see Auditor::Config): sweeps
   // that fire within this many wall milliseconds of the previous executed
   // batch are skipped. AIRFAIR_AUDIT_WALL_MS=0 disables batching.

@@ -75,6 +75,15 @@ std::vector<StationSpec> ThreeStationSetup();
 // True unless the AIRFAIR_PACKET_POOL environment variable is set to "0".
 bool PacketPoolEnabledByDefault();
 
+// Longest interval the two millisecond knobs below accept: one hour.
+inline constexpr uint64_t kMaxIntervalKnobMs = 3'600'000;
+
+// AIRFAIR_SAMPLE_INTERVAL_MS / AIRFAIR_AUDIT_INTERVAL_MS: the timeseries
+// sampling and audit sweep cadences, in whole milliseconds from 1 to
+// kMaxIntervalKnobMs (anything else fails an AF_CHECK), else `fallback`.
+TimeUs SampleIntervalFromEnv(TimeUs fallback);
+TimeUs AuditIntervalFromEnv(TimeUs fallback);
+
 struct TestbedConfig {
   uint64_t seed = 1;
   QueueScheme scheme = QueueScheme::kFifo;

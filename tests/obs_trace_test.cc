@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,6 +43,37 @@ TEST(TraceBuffer, AppendStoresAllFields) {
   EXPECT_EQ(records[0].a0, 1500);
   EXPECT_EQ(records[0].a1, 7);
   EXPECT_EQ(records[0].a2, 0);
+}
+
+// AIRFAIR_TRACE_RING takes 1 to 2^24 records, digits only. The parser is
+// called directly, so no ring is allocated for the large values.
+TEST(TraceBuffer, RingCapacityKnobIsParsedStrictly) {
+  ::unsetenv("AIRFAIR_TRACE_RING");
+  EXPECT_EQ(TraceRingCapacityFromEnv(65536), 65536u);
+  ::setenv("AIRFAIR_TRACE_RING", "4096", /*overwrite=*/1);
+  EXPECT_EQ(TraceRingCapacityFromEnv(65536), 4096u);
+  ::setenv("AIRFAIR_TRACE_RING", "16777216", /*overwrite=*/1);
+  EXPECT_EQ(TraceRingCapacityFromEnv(65536), kMaxTraceRingRecords);
+
+  // Before, atoll read "64k" as 64 and "1e6" as 1, fell back silently on
+  // "abc", "0" and "-5", and took 99999999999 (a ring of about 6 TiB).
+  const char* bad[] = {"64k", "1e6", "abc", "0", "-5", "16777217", "99999999999",
+                       "99999999999999999999999"};
+  for (const char* value : bad) {
+    ::setenv("AIRFAIR_TRACE_RING", value, /*overwrite=*/1);
+    std::vector<std::string> messages;
+    size_t capacity = 0;
+    {
+      ScopedCheckFailureHandler guard(
+          [&](const char*, int, const std::string& m) { messages.push_back(m); });
+      capacity = TraceRingCapacityFromEnv(65536);
+    }
+    EXPECT_EQ(capacity, 65536u) << value;
+    ASSERT_EQ(messages.size(), 1u) << value;
+    EXPECT_NE(messages[0].find("AIRFAIR_TRACE_RING"), std::string::npos) << messages[0];
+    EXPECT_NE(messages[0].find(value), std::string::npos) << messages[0];
+  }
+  ::unsetenv("AIRFAIR_TRACE_RING");
 }
 
 TEST(TraceBuffer, CapacityRoundsUpToPowerOfTwo) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/net/udp.h"
 #include "src/scenario/experiments.h"
+#include "src/util/check.h"
 
 namespace airfair {
 namespace {
@@ -21,6 +27,41 @@ TEST(StationTable, NodeLookupRoundTrips) {
   EXPECT_EQ(table.Get(a).name, "a");
   table.GetMutable(b).rate = FastStationRate();
   EXPECT_NEAR(table.Get(b).rate.Mbps(), 144.4, 0.1);
+}
+
+// The two millisecond cadence knobs take 1 to kMaxIntervalKnobMs, digits
+// only; before, atoi let "abc" and "0" fall back silently and read "20ms"
+// as 20.
+TEST(TestbedSetup, IntervalKnobsAreParsedStrictly) {
+  using IntervalFn = TimeUs (*)(TimeUs);
+  const std::pair<const char*, IntervalFn> knobs[] = {
+      {"AIRFAIR_SAMPLE_INTERVAL_MS", &SampleIntervalFromEnv},
+      {"AIRFAIR_AUDIT_INTERVAL_MS", &AuditIntervalFromEnv}};
+  for (const auto& [name, from_env] : knobs) {
+    ::unsetenv(name);
+    EXPECT_EQ(from_env(10_ms), 10_ms) << name;
+    ::setenv(name, "25", /*overwrite=*/1);
+    EXPECT_EQ(from_env(10_ms), 25_ms) << name;
+    ::setenv(name, "3600000", /*overwrite=*/1);
+    EXPECT_EQ(from_env(10_ms), TimeUs::FromSeconds(3600)) << name;
+
+    const char* bad[] = {"abc", "20ms", "0", "-5", "2.5", "3600001", "99999999999999999999"};
+    for (const char* value : bad) {
+      ::setenv(name, value, /*overwrite=*/1);
+      std::vector<std::string> messages;
+      TimeUs interval;
+      {
+        ScopedCheckFailureHandler guard(
+            [&](const char*, int, const std::string& m) { messages.push_back(m); });
+        interval = from_env(10_ms);
+      }
+      EXPECT_EQ(interval, 10_ms) << name << "=" << value;
+      ASSERT_EQ(messages.size(), 1u) << name << "=" << value;
+      EXPECT_NE(messages[0].find(name), std::string::npos) << messages[0];
+      EXPECT_NE(messages[0].find(value), std::string::npos) << messages[0];
+    }
+    ::unsetenv(name);
+  }
 }
 
 TEST(TestbedSetup, SchemeNamesAreDistinct) {
