@@ -21,8 +21,8 @@
 #ifndef AIRFAIR_BENCH_BENCH_UTIL_H_
 #define AIRFAIR_BENCH_BENCH_UTIL_H_
 
-#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -33,22 +33,24 @@
 #include "src/scenario/experiments.h"
 #include "src/scenario/parallel_runner.h"
 #include "src/scenario/testbed.h"
+#include "src/util/env_knob.h"
 #include "src/util/stats.h"
 
 namespace airfair {
 
+// Bounds of the bench knobs; a value outside them fails with a message.
+inline constexpr uint64_t kMaxBenchReps = 10'000;
+inline constexpr double kMinBenchSeconds = 1.0;
+inline constexpr double kMaxBenchSeconds = 86'400.0;
+
 inline int BenchRepetitions(int fallback = 5) {
-  if (const char* env = std::getenv("AIRFAIR_REPS")) {
-    return std::max(1, std::atoi(env));
-  }
-  return fallback;
+  return static_cast<int>(PositiveIntFromEnv("AIRFAIR_REPS", kMaxBenchReps,
+                                             static_cast<uint64_t>(fallback)));
 }
 
 inline ExperimentTiming BenchTiming(double default_measure_seconds = 20.0) {
-  double seconds = default_measure_seconds;
-  if (const char* env = std::getenv("AIRFAIR_SECONDS")) {
-    seconds = std::max(1.0, std::atof(env));
-  }
+  const double seconds = PositiveDecimalFromEnv("AIRFAIR_SECONDS", kMinBenchSeconds,
+                                                kMaxBenchSeconds, default_measure_seconds);
   ExperimentTiming timing;
   timing.warmup = TimeUs::FromSeconds(5);
   timing.measure = TimeUs::FromSeconds(seconds);

@@ -19,25 +19,33 @@
 // across the sweep: the wall-time differences between the points measure
 // the per-station costs, not a growing offered load.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "src/util/check.h"
+#include "src/util/env_knob.h"
 
 using namespace airfair;
 
 namespace {
 
 // Default sweep; AIRFAIR_SCALE_STATIONS=<N> pins it to a single point
-// (CI uses 128 for a stable perf record).
+// (CI uses 128 for a stable perf record). N counts the legacy station, so
+// it must be at least 2.
+constexpr uint64_t kMaxScaleStations = 4096;
+
 std::vector<int> SweepStations() {
-  if (const char* env = std::getenv("AIRFAIR_SCALE_STATIONS")) {
-    const int n = std::atoi(env);
-    if (n >= 2) {
-      return {n};
-    }
+  const std::vector<int> sweep = {8, 64, 128, 256};
+  const uint64_t n = PositiveIntFromEnv("AIRFAIR_SCALE_STATIONS", kMaxScaleStations, 0);
+  if (n == 0) {
+    return sweep;
   }
-  return {8, 64, 128, 256};
+  AF_CHECK(n >= 2) << " AIRFAIR_SCALE_STATIONS: a sweep point needs N >= 2 (N-1 fast "
+                      "stations and 1 legacy), got "
+                   << n;
+  return n >= 2 ? std::vector<int>{static_cast<int>(n)} : sweep;
 }
 
 // Total offered load held constant across the sweep; at N=8 this matches

@@ -173,7 +173,6 @@ void WifiMedium::ResolveGrant(int defer_slots) {
   // move-only captures (no shared_ptr holder), and the closure — a pointer,
   // a vector, a bool — fits EventFn's inline buffer, so scheduling the
   // completion allocates nothing.
-  // airfair-lint: allow(callback-lifetime): the Testbed destroys the Simulation (and every queued event) before the medium it owns.
   sim_->PostAfter(occupancy,
                   [this, pending = std::move(transmissions), collision]() mutable {
                     CompleteTransmissions(std::move(pending), collision);

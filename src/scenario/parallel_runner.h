@@ -14,14 +14,10 @@
 // concurrency. `threads == 1` (or a single job) runs inline on the calling
 // thread with no pool at all.
 //
-// Ownership domains (DESIGN.md §8): simulator-core types (src/sim, src/core,
-// src/aqm, src/mac, src/net) live in the event-loop domain — each instance
-// is owned by exactly one worker's job body and never crosses threads. This
-// translation unit is a *thread-entry* TU under airfair_lint's
-// domain-crossing rule: it may not name event-loop-domain types except
-// through the gateway whitelist (tools/analyze/domain_gateways.txt), which
-// is what keeps the runner a pure job scheduler. The whitelist is empty:
-// parallelism lives between simulations, never inside one.
+// Ownership (DESIGN.md §8): simulator-core types (src/sim, src/core,
+// src/aqm, src/mac, src/net) are owned by exactly one worker's job body and
+// never cross threads. The runner names none of them; it is a pure job
+// scheduler, and parallelism lives between simulations, never inside one.
 
 #ifndef AIRFAIR_SRC_SCENARIO_PARALLEL_RUNNER_H_
 #define AIRFAIR_SRC_SCENARIO_PARALLEL_RUNNER_H_

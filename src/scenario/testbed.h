@@ -226,6 +226,11 @@ class Testbed {
   // release them into a live pool. The pool's destructor checks that no
   // packet is outstanding.
   PacketPool packet_pool_;
+  // Declared before the components, so it is destroyed after them, with
+  // their undispatched closures (some capturing `this`) still queued. That
+  // is safe because no component is destroyed mid-run and nothing
+  // dispatches once ~Testbed starts: a queued closure is only destroyed,
+  // never called, and the PacketPtrs it holds return to packet_pool_.
   Simulation sim_;
   StationTable station_table_;
   WifiMedium medium_;

@@ -5,9 +5,8 @@
 // detached post (EventHandle destruction does not cancel), and a dropped
 // PacketPtr returns a packet to the pool the instant it was allocated. The
 // macro expands to [[nodiscard]], so the compiler flags discards in every
-// build; the lint engine's unused-result rule mirrors the check offline
-// (tools/analyze/lint.h) so it lands in CI annotations with the other
-// project rules and supports `airfair-lint: allow(...)` suppressions.
+// build and -Werror turns them into errors; tests/nodiscard_fixture.cc
+// proves that under ctest. Cast to (void) to discard on purpose.
 
 #ifndef AIRFAIR_SRC_UTIL_ATTRIBUTES_H_
 #define AIRFAIR_SRC_UTIL_ATTRIBUTES_H_

@@ -38,4 +38,40 @@ uint64_t PositiveIntFromEnv(const char* name, uint64_t max, uint64_t fallback) {
   return ok ? value : fallback;
 }
 
+bool ParsePositiveDecimal(const char* text, double* out) {
+  bool digits = false;
+  bool point = false;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p >= '0' && *p <= '9') {
+      digits = true;
+    } else if (*p == '.' && !point) {
+      point = true;
+    } else {
+      return false;
+    }
+  }
+  if (!digits) {
+    return false;
+  }
+  // The text is plain digits and one point, so strtod reads all of it.
+  const double value = std::strtod(text, nullptr);
+  if (!(value > 0.0)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+double PositiveDecimalFromEnv(const char* name, double min, double max, double fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') {
+    return fallback;
+  }
+  double value = 0.0;
+  const bool ok = ParsePositiveDecimal(env, &value) && value >= min && value <= max;
+  AF_CHECK(ok) << " " << name << ": expected a decimal number in [" << min << ", " << max
+               << "], got \"" << env << "\"";
+  return ok ? value : fallback;
+}
+
 }  // namespace airfair

@@ -1,9 +1,9 @@
-// Strict parsing of integer environment knobs.
+// Strict parsing of numeric environment knobs.
 //
-// atoi/atoll read "64k" as 64, "1e6" as 1 and "abc" as 0, so a mistyped knob
-// silently runs a different experiment. These parsers accept decimal digits
-// only, and a rejected value fails an AF_CHECK that names the variable and
-// the value.
+// atoi/atof read "64k" as 64, "1e6" as 1, "2x" as 2 and "abc" as 0, so a
+// mistyped knob silently runs a different experiment. These parsers accept
+// plain decimal digits (and one '.' for the decimal form) only, and a
+// rejected value fails an AF_CHECK that names the variable and the value.
 
 #ifndef AIRFAIR_SRC_UTIL_ENV_KNOB_H_
 #define AIRFAIR_SRC_UTIL_ENV_KNOB_H_
@@ -21,6 +21,16 @@ bool ParseUint64(const char* text, uint64_t* out);
 // `max`) fails an AF_CHECK and, if the failure handler returns, gives
 // `fallback`.
 uint64_t PositiveIntFromEnv(const char* name, uint64_t max, uint64_t fallback);
+
+// Strict positive decimal: digits with at most one '.', at least one digit
+// and a value above 0 (no sign, exponent, blank or suffix). Returns false,
+// leaving `out` alone, otherwise.
+bool ParsePositiveDecimal(const char* text, double* out);
+
+// The decimal knob `name`, in [min, max] with min > 0. Unset or empty gives
+// `fallback`; any other value outside that range fails an AF_CHECK and, if
+// the failure handler returns, gives `fallback`.
+double PositiveDecimalFromEnv(const char* name, double min, double max, double fallback);
 
 }  // namespace airfair
 

@@ -8,10 +8,6 @@
 // compile time under the thread-safety preset. The lint rule
 // guarded-field-discipline bans raw std::mutex members/statics in src/ for
 // the same reason.
-//
-// Lock ordering: nesting of named locks is declared in
-// tools/analyze/lock_order.txt and checked by airfair_lint's lock-order
-// rule against the acquisition nesting it observes in the tree.
 
 #ifndef AIRFAIR_SRC_UTIL_MUTEX_H_
 #define AIRFAIR_SRC_UTIL_MUTEX_H_

@@ -73,8 +73,7 @@
 #define AF_RELEASE(...) AF_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 #define AF_TRY_ACQUIRE(...) AF_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 
-// Declared lock-ordering edges, checked statically by clang in addition to
-// the lint engine's lock-order rule (tools/analyze/lock_order.txt).
+// Declared lock-ordering edges, checked statically by clang.
 #define AF_ACQUIRED_BEFORE(...) AF_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
 #define AF_ACQUIRED_AFTER(...) AF_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 

@@ -1,8 +1,7 @@
 // Tests for the lint engine's tree-wide symbol index
 // (tools/analyze/symbol_index.h): scope tracking, field/static
-// classification, annotation detection and lock-acquisition nesting. These
-// fixtures pin the parsing contract the concurrency-discipline rules
-// (guarded-field-discipline, domain-crossing, lock-order) build on.
+// classification and annotation detection. These fixtures pin the parsing
+// contract the guarded-field-discipline rule builds on.
 
 #include "tools/analyze/symbol_index.h"
 
@@ -156,8 +155,6 @@ TEST(SymbolIndex, AttributeMacrosInClassHeadsAndScopedEnums) {
   EXPECT_TRUE(color->fields.empty());  // Enumerators are not fields.
   // Forward declarations open no scope and index no class.
   EXPECT_EQ(FindClass(index, "Forward"), nullptr);
-  EXPECT_EQ(index.files_by_type.count("Forward"), 0u);
-  EXPECT_EQ(index.files_by_type.count("Mutex"), 1u);
 }
 
 TEST(SymbolIndex, StaticsAndNamespaceGlobals) {
@@ -184,57 +181,6 @@ TEST(SymbolIndex, StaticsAndNamespaceGlobals) {
   EXPECT_FALSE(index.statics[1].has_annotation);
   EXPECT_EQ(index.statics[2].name, "depth");
   EXPECT_TRUE(index.statics[2].is_thread_local);
-}
-
-TEST(SymbolIndex, LockAcquisitionsTrackHeldStacks) {
-  const SymbolIndex index =
-      Build({MakeSource("src/util/l.cc",
-                        "void F() {\n"
-                        "  MutexLock outer(&alpha_);\n"
-                        "  {\n"
-                        "    std::lock_guard<std::mutex> inner(beta_);\n"
-                        "  }\n"
-                        "  std::lock_guard<std::mutex> after(gamma_);\n"
-                        "}\n"
-                        "void G() {\n"
-                        "  MutexLock solo(&ExportMutex());\n"
-                        "}\n")});
-  ASSERT_EQ(index.acquisitions.size(), 4u);
-  EXPECT_EQ(index.acquisitions[0].lock_name, "alpha_");
-  EXPECT_TRUE(index.acquisitions[0].held.empty());
-  EXPECT_EQ(index.acquisitions[1].lock_name, "beta_");
-  ASSERT_EQ(index.acquisitions[1].held.size(), 1u);
-  EXPECT_EQ(index.acquisitions[1].held[0], "alpha_");
-  // beta_'s block closed before gamma_: only alpha_ is still held.
-  EXPECT_EQ(index.acquisitions[2].lock_name, "gamma_");
-  ASSERT_EQ(index.acquisitions[2].held.size(), 1u);
-  EXPECT_EQ(index.acquisitions[2].held[0], "alpha_");
-  // Function scopes do not leak held locks into the next function; the
-  // lock expression's last identifier names the lock ("&ExportMutex()").
-  EXPECT_EQ(index.acquisitions[3].lock_name, "ExportMutex");
-  EXPECT_TRUE(index.acquisitions[3].held.empty());
-}
-
-TEST(SymbolIndex, ConstructorDeclarationsAreNotAcquisitions) {
-  const SymbolIndex index =
-      Build({MakeSource("src/util/m.h",
-                        "class AF_SCOPED_CAPABILITY MutexLock {\n"
-                        " public:\n"
-                        "  explicit MutexLock(Mutex* mu) : mu_(mu) {}\n"
-                        "  ~MutexLock();\n"
-                        " private:\n"
-                        "  Mutex* mu_;\n"
-                        "};\n")});
-  EXPECT_TRUE(index.acquisitions.empty());
-}
-
-TEST(SymbolIndex, CrossFileTypeMap) {
-  const SymbolIndex index = Build({MakeSource("src/core/a.h", "class Widget {\n};\n"),
-                                   MakeSource("src/mac/b.h", "struct Frame {\n int n;\n};\n")});
-  ASSERT_EQ(index.files_by_type.count("Widget"), 1u);
-  EXPECT_EQ(index.files_by_type.at("Widget")[0], "src/core/a.h");
-  ASSERT_EQ(index.files_by_type.count("Frame"), 1u);
-  EXPECT_EQ(index.files_by_type.at("Frame")[0], "src/mac/b.h");
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 // project-specific rules — the ones that keep the simulator's hot paths
 // allocation-free and its components wired into the invariant auditor —
 // are enforced by this self-contained engine instead. It is a lexer-level
-// analyzer, not a compiler, and runs in two passes: pass 1 strips comments
-// and string literals with a real lexer state machine and builds a
-// tree-wide symbol index (tools/analyze/symbol_index.h — classes, members,
-// annotations, lock acquisitions); pass 2 runs the rules over the code
-// text, the include lists, the cross-file structure and the index.
+// analyzer, not a compiler: it strips comments and string literals with a
+// real lexer state machine, builds a tree-wide symbol index of classes,
+// fields and statics with their concurrency flags
+// (tools/analyze/symbol_index.h), and runs the rules over the code text,
+// the include lists, the cross-file structure and the index. Checks a
+// compiler already runs are left to it: clang -Wthread-safety for guarded
+// accesses, clang-tidy bugprone-use-after-move, and [[nodiscard]]
+// (AF_NODISCARD) under -Werror for discarded results.
 //
 // Rules (ids are stable; they feed suppressions and CI output):
 //   hot-std-function    std::function in src/{sim,mac,core,aqm,net} — use
@@ -47,36 +50,6 @@
 //                       AF_GUARDED_BY / AF_ATOMIC
 //                       (src/util/thread_annotations.h). thread_local and
 //                       const are exempt; a Mutex is its own capability
-//   domain-crossing     types declared in src/{sim,core,aqm,mac,net} are
-//                       event-loop-domain; thread-entry TUs (std::thread
-//                       spawners, the parallel runner) may not name them
-//                       except via tools/analyze/domain_gateways.txt, and
-//                       domain TUs may not spawn threads. TUs declaring a
-//                       whitelisted gateway type are the boundary itself
-//                       and exempt in both directions
-//   lock-order          RAII lock acquisitions must nest in the order
-//                       declared in tools/analyze/lock_order.txt
-//                       (outermost first); re-acquiring a held lock is
-//                       flagged too
-//
-// Flow-sensitive rules (per-function CFGs — tools/analyze/cfg.h — with
-// forward may/must dataflow — tools/analyze/dataflow.h):
-//   use-after-move      a moved-from PacketPtr / EventFn / InlineFunction /
-//                       std::unique_ptr local used on any path before
-//                       reassignment/.reset() (src/ only; null checks of
-//                       the guaranteed-null moved-from pointers are fine)
-//   guarded-field-path  an AF_GUARDED_BY field touched on a path where the
-//                       guard's MutexLock RAII scope has ended or was never
-//                       entered and no AF_REQUIRES covers the function
-//   callback-lifetime   a lambda capturing `this` (or by-reference state)
-//                       passed to the detached Post* in
-//                       src/{sim,mac,core,aqm,net,obs}, or a Schedule*/At/
-//                       After handle for such a lambda dropped on some path
-//                       instead of being stored/returned/passed on
-//   unused-result       a full-statement call to an AF_NODISCARD function
-//                       (EventLoop::Schedule*, Simulation::At/After,
-//                       PacketPool::Allocate) whose result is discarded;
-//                       (void)-cast is the sanctioned explicit discard
 //
 // Suppressions: `// airfair-lint: allow(rule-id): reason` on the flagged
 // line or the line directly above it. File-scope rules (header-guard,
@@ -86,6 +59,7 @@
 #ifndef AIRFAIR_TOOLS_ANALYZE_LINT_H_
 #define AIRFAIR_TOOLS_ANALYZE_LINT_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -114,13 +88,6 @@ struct LintOptions {
   // Files or directories to lint, relative to repo_root (directories are
   // walked recursively for .h/.cc, skipping build output).
   std::vector<std::string> roots;
-  // Declared lock hierarchy (outermost first) for the lock-order rule and
-  // gateway whitelist for the domain-crossing rule, relative to repo_root.
-  // With the hierarchy file absent, lock-order still flags re-acquisition
-  // of a held lock but skips ordering checks; an absent gateway file means
-  // an empty whitelist.
-  std::string lock_order_file = "tools/analyze/lock_order.txt";
-  std::string gateway_file = "tools/analyze/domain_gateways.txt";
 };
 
 struct LintResult {
@@ -139,6 +106,14 @@ std::string ResultToJson(const LintResult& result);
 // (lexer state carries across lines via `in_block_comment`). Exposed for
 // tests; the quotes themselves are kept so tokens do not merge.
 std::string StripCodeLine(const std::string& line, bool* in_block_comment);
+
+// Lexer helpers shared with the symbol index. FindToken returns the first
+// position at or after `from` where `token` occurs with identifier
+// boundaries on both sides, or npos.
+bool IsIdentChar(char c);
+size_t FindToken(const std::string& code, const std::string& token, size_t from = 0);
+bool HasToken(const std::string& code, const std::string& token);
+std::string Trim(const std::string& s);
 
 }  // namespace analyze
 }  // namespace airfair

@@ -120,14 +120,18 @@ if command -v clang-tidy >/dev/null 2>&1; then
     cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null || exit 2
     BUILD_DIR=build
   fi
-  # clang-tidy only accepts translation units, not headers.
+  # clang-tidy only accepts translation units, not headers. A header is
+  # checked through its paired .cc (when one exists), so a use-after-move
+  # in an inline function of a changed header is still caught.
   TUS=()
   for f in "${FILES[@]}"; do
     case "$f" in
       *.cc|*.cpp) TUS+=("$f") ;;
+      *.h) if [[ -f "${f%.h}.cc" ]]; then TUS+=("${f%.h}.cc"); fi ;;
     esac
   done
   if [[ ${#TUS[@]} -gt 0 ]]; then
+    mapfile -t TUS < <(printf '%s\n' "${TUS[@]}" | sort -u)
     if ! clang-tidy -p "$BUILD_DIR" --quiet "${TUS[@]}"; then
       note "clang-tidy reported findings"
       STATUS=1
